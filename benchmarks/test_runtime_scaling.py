@@ -45,6 +45,11 @@ VALIDATION_CFG = CLEARConfig(
 )
 
 
+def _extraction(dataset):
+    """Provenance of the generation graph's feature-extraction stage."""
+    return next(p for p in dataset.provenance if p.stage == "subjects")
+
+
 def _maps_equal(a, b):
     return all(
         sa.subject_id == sb.subject_id
@@ -97,9 +102,9 @@ def test_generation_scaling_and_cache(tmp_path):
 
     map_count = sum(len(s.maps) for s in warm.subjects)
     # Zero re-extractions on a warm cache: every map lookup hits.
-    assert warm.runtime.cache_misses == 0
-    assert warm.runtime.cache_hits == map_count
-    assert cold.runtime.cache_misses == map_count
+    assert _extraction(warm).cache_misses == 0
+    assert _extraction(warm).cache_hits == map_count
+    assert _extraction(cold).cache_misses == map_count
 
     _merge_report(
         "generation",
@@ -113,7 +118,7 @@ def test_generation_scaling_and_cache(tmp_path):
             "cold_cache_s": round(cold_s, 3),
             "warm_cache_s": round(warm_s, 3),
             "cache_speedup": round(cold_s / warm_s, 1) if warm_s else None,
-            "warm_hit_rate": warm.runtime.cache_hit_rate,
+            "warm_hit_rate": _extraction(warm).cache_hit_rate,
         },
     )
     print(
@@ -162,9 +167,9 @@ def test_validation_scaling_and_cache(bench_dataset, tmp_path):
     assert _folds(cold.without_ft) == _folds(serial.without_ft)
     assert _folds(warm.without_ft) == _folds(serial.without_ft)
     # Warm rerun re-trains no fold checkpoint.
-    assert warm.runtime.cache_misses == 0
-    assert warm.runtime.cache_hits == (
-        cold.runtime.cache_hits + cold.runtime.cache_misses
+    assert warm.provenance.cache_misses == 0
+    assert warm.provenance.cache_hits == (
+        cold.provenance.cache_hits + cold.provenance.cache_misses
     )
 
     _merge_report(
@@ -178,7 +183,7 @@ def test_validation_scaling_and_cache(bench_dataset, tmp_path):
             "cold_cache_s": round(cold_s, 3),
             "warm_cache_s": round(warm_s, 3),
             "cache_speedup": round(cold_s / warm_s, 1) if warm_s else None,
-            "warm_hit_rate": warm.runtime.cache_hit_rate,
+            "warm_hit_rate": warm.provenance.cache_hit_rate,
         },
     )
     print(
@@ -299,8 +304,8 @@ def test_runtime_smoke(tmp_path):
     cold = SyntheticWEMAC(cfg).generate(cache_dir=cache_dir)
     warm = SyntheticWEMAC(cfg).generate(cache_dir=cache_dir)
     map_count = sum(len(s.maps) for s in warm.subjects)
-    assert warm.runtime.cache_misses == 0
-    assert warm.runtime.cache_hits == map_count
+    assert _extraction(warm).cache_misses == 0
+    assert _extraction(warm).cache_hits == map_count
     assert _maps_equal(serial, warm) and _maps_equal(serial, cold)
 
     base = clear_validation(serial, smoke_cfg, max_folds=2)

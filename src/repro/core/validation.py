@@ -17,10 +17,11 @@ Each protocol driver builds its work units — that part is protocol
 semantics: which maps train, which test, which RNG stream each fold
 consumes — and hands them to the one shared
 :func:`~repro.orchestration.folds.run_fold_plan` stage, which injects
-the :mod:`repro.runtime` executor/cache, times the dispatch, merges
-cache counters, and emits the :class:`~repro.orchestration.provenance.Provenance`
-record surfaced on every result.  Because units carry pre-spawned
-seeds, a parallel run is bit-identical to the default serial one.
+the :mod:`repro.runtime` executor/cache and emits the
+:class:`~repro.orchestration.provenance.Provenance` record (executor
+shape, cache counters, wall time) surfaced on every result.  Because
+units carry pre-spawned seeds, a parallel run is bit-identical to the
+default serial one.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from ..orchestration.grouping import (
     outside_maps,
 )
 from ..orchestration.provenance import Provenance
-from ..runtime.executor import Executor, RuntimeStats, spawn_seeds
+from ..runtime.executor import Executor, spawn_seeds
 from ..scenarios.adapter import population_records
 from ..scenarios.base import Scenario
 from .config import CLEARConfig
@@ -121,9 +122,7 @@ def evaluate_general_model(
         config=config,
         seed=config.seed,
     )
-    summary = MetricSummary(
-        "General Model", runtime=plan.stats, provenance=plan.provenance
-    )
+    summary = MetricSummary("General Model", provenance=plan.provenance)
     for fold, _, _ in plan.results:
         summary.add(fold)
     return summary
@@ -138,7 +137,6 @@ class CLValidationResult:
     cl: MetricSummary
     rt_cl: MetricSummary
     cluster_sizes: List[int] = field(default_factory=list)
-    runtime: Optional[RuntimeStats] = None
     provenance: Optional[Provenance] = None
 
     def __repro_content__(self) -> Tuple:
@@ -218,12 +216,8 @@ def cl_validation(
         config=config,
         seed=config.seed,
     )
-    cl_summary = MetricSummary(
-        "CL validation", runtime=plan.stats, provenance=plan.provenance
-    )
-    rt_summary = MetricSummary(
-        "RT CL", runtime=plan.stats, provenance=plan.provenance
-    )
+    cl_summary = MetricSummary("CL validation", provenance=plan.provenance)
+    rt_summary = MetricSummary("RT CL", provenance=plan.provenance)
     for cl_fold, rt_fold, _, _ in plan.results:
         cl_summary.add(cl_fold)
         if rt_fold is not None:
@@ -232,7 +226,6 @@ def cl_validation(
         cl=cl_summary,
         rt_cl=rt_summary,
         cluster_sizes=gc.cluster_sizes(),
-        runtime=plan.stats,
         provenance=plan.provenance,
     )
 
@@ -248,7 +241,6 @@ class CLEARValidationResult:
     with_ft: Optional[MetricSummary]
     assignments: Dict[int, int] = field(default_factory=dict)
     assignment_matches_gc: Dict[int, bool] = field(default_factory=dict)
-    runtime: Optional[RuntimeStats] = None
     provenance: Optional[Provenance] = None
 
     def __repro_content__(self) -> Tuple:
@@ -314,7 +306,7 @@ def _clear_fold_unit(args: Tuple) -> Dict[str, object]:
             ft_metrics["accuracy"], ft_metrics["f1"], fold_id=v_x
         )
 
-    fit_stats = system.runtime
+    training = next(p for p in system.provenance if p.stage == "cluster_models")
     return {
         "v_x": v_x,
         "cluster": cluster,
@@ -322,8 +314,8 @@ def _clear_fold_unit(args: Tuple) -> Dict[str, object]:
         "wo": wo_fold,
         "rt": rt_fold,
         "ft": ft_fold,
-        "hits": 0 if fit_stats is None else fit_stats.cache_hits,
-        "misses": 0 if fit_stats is None else fit_stats.cache_misses,
+        "hits": training.cache_hits,
+        "misses": training.cache_misses,
     }
 
 
@@ -385,12 +377,10 @@ def clear_validation(
         config=config,
         seed=config.seed,
     )
-    wo_ft = MetricSummary(
-        "CLEAR w/o FT", runtime=plan.stats, provenance=plan.provenance
-    )
-    rt = MetricSummary("RT CLEAR", runtime=plan.stats, provenance=plan.provenance)
+    wo_ft = MetricSummary("CLEAR w/o FT", provenance=plan.provenance)
+    rt = MetricSummary("RT CLEAR", provenance=plan.provenance)
     w_ft = (
-        MetricSummary("CLEAR w FT", runtime=plan.stats, provenance=plan.provenance)
+        MetricSummary("CLEAR w FT", provenance=plan.provenance)
         if with_fine_tuning
         else None
     )
@@ -411,6 +401,5 @@ def clear_validation(
         with_ft=w_ft,
         assignments=assignments,
         assignment_matches_gc=matches,
-        runtime=plan.stats,
         provenance=plan.provenance,
     )

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..orchestration.graph import PipelineGraph
 from ..orchestration.stage import Stage, StageContext
-from ..runtime.executor import Executor, RuntimeStats
+from ..runtime.executor import Executor
 from ..signals.feature_map import (
     FeatureMap,
     SubjectExtractionUnit,
@@ -27,6 +27,7 @@ from ..signals.feature_map import (
 from .stimuli import StimulusSchedule, balanced_schedule
 from .subject import (
     NUM_ARCHETYPES,
+    ArchetypeParams,
     PhysiologicalSimulator,
     SubjectProfile,
     sample_subject,
@@ -123,17 +124,15 @@ class WEMACDataset:
 
     config: WEMACConfig
     subjects: List[SubjectRecord]
-    #: How generation ran (executor shape, extraction cache hits/misses);
-    #: None for datasets loaded from disk or built by hand.
-    runtime: Optional[RuntimeStats] = None
-    #: Lineage of the generation graph (simulate → extract stages);
-    #: empty for datasets built by hand.
+    #: Lineage of the generation graph (simulate → extract stages): how
+    #: each ran, with extraction cache hits/misses and wall time; empty
+    #: for datasets loaded from disk or built by hand.
     provenance: tuple = ()
 
     def __repro_content__(self):
         # Stable content: the config and every generated feature map.
-        # Runtime stats and provenance carry wall times and must never
-        # shift the dataset's digest.
+        # Provenance carries wall times and must never shift the
+        # dataset's digest.
         return (
             "WEMACDataset",
             self.config,
@@ -221,6 +220,50 @@ def _archetype_plan(config: WEMACConfig) -> List[int]:
     return np.repeat(np.arange(counts.size), counts).tolist()
 
 
+def draw_subject(
+    config: WEMACConfig,
+    subject_id: int,
+    archetype_id: int,
+    rng: np.random.Generator,
+    rates: Tuple[float, float, float],
+    cache_dir: Optional[str],
+    base_params: Optional[ArchetypeParams] = None,
+) -> Tuple[SubjectProfile, StimulusSchedule, SubjectExtractionUnit]:
+    """One volunteer's draw: profile, stimulus schedule, raw recordings.
+
+    ``rng`` is consumed in a fixed order (profile jitter, schedule,
+    simulated trials), which the serial corpus stream and the
+    per-subject scenario streams both rely on.  ``rates`` are the
+    device's (BVP, GSR, SKT) sampling rates in Hz; ``base_params``
+    overrides the archetype's parameters.  The recordings come back as
+    an extraction work unit, so the caller decides where feature
+    extraction runs.
+    """
+    profile = sample_subject(
+        subject_id,
+        archetype_id,
+        rng,
+        jitter=config.subject_jitter,
+        base_params=base_params,
+    )
+    schedule = balanced_schedule(
+        config.trials_per_subject, config.trial_seconds, rng
+    )
+    raw_trials = PhysiologicalSimulator(*rates).simulate_schedule(
+        profile, schedule, rng
+    )
+    unit = SubjectExtractionUnit(
+        subject_id=subject_id,
+        trials=list(raw_trials),
+        labels=[t.label for t in schedule.trials],
+        windows_per_map=config.windows_per_map,
+        rates=rates,
+        window_seconds=config.window_seconds,
+        cache_dir=cache_dir,
+    )
+    return profile, schedule, unit
+
+
 class SyntheticWEMAC:
     """Generator for the synthetic WEMAC corpus."""
 
@@ -241,10 +284,7 @@ class SyntheticWEMAC:
         cache instead of re-extracted.  Results are bit-identical
         across executors and cache states.
         """
-        import time as _time
-
         cfg = self.config
-        t0 = _time.perf_counter()
 
         def _simulate_stage(ctx: StageContext):
             # Serial by design: every subject draws from the one corpus
@@ -252,33 +292,15 @@ class SyntheticWEMAC:
             # deferring it to the next stage leaves the stream — and
             # thus the corpus — unchanged.
             rng = np.random.default_rng(cfg.seed)
-            simulator = PhysiologicalSimulator(cfg.fs_bvp, cfg.fs_gsr, cfg.fs_skt)
-            plan = _archetype_plan(cfg)
-            profiles = []
-            schedules = []
-            units: List[SubjectExtractionUnit] = []
-            for subject_id, archetype_id in enumerate(plan):
-                profile = sample_subject(
-                    subject_id, archetype_id, rng, jitter=cfg.subject_jitter
+            rates = (cfg.fs_bvp, cfg.fs_gsr, cfg.fs_skt)
+            draws = [
+                draw_subject(
+                    cfg, subject_id, archetype_id, rng, rates, ctx.cache_dir
                 )
-                schedule = balanced_schedule(
-                    cfg.trials_per_subject, cfg.trial_seconds, rng
-                )
-                raw_trials = simulator.simulate_schedule(profile, schedule, rng)
-                profiles.append(profile)
-                schedules.append(schedule)
-                units.append(
-                    SubjectExtractionUnit(
-                        subject_id=subject_id,
-                        trials=list(raw_trials),
-                        labels=[t.label for t in schedule.trials],
-                        windows_per_map=cfg.windows_per_map,
-                        rates=(cfg.fs_bvp, cfg.fs_gsr, cfg.fs_skt),
-                        window_seconds=cfg.window_seconds,
-                        cache_dir=ctx.cache_dir,
-                    )
-                )
-            ctx.set_units(len(units))
+                for subject_id, archetype_id in enumerate(_archetype_plan(cfg))
+            ]
+            ctx.set_units(len(draws))
+            profiles, schedules, units = map(list, zip(*draws))
             return profiles, schedules, units
 
         def _extract_stage(ctx: StageContext, simulated):
@@ -311,19 +333,9 @@ class SyntheticWEMAC:
             ],
         )
         run = graph.run(executor=executor, cache_dir=cache_dir, seed=cfg.seed)
-        extract_prov = run.provenance("subjects")
-        stats = RuntimeStats(
-            executor=extract_prov.executor,
-            workers=extract_prov.workers,
-            units=extract_prov.units,
-            wall_time_s=_time.perf_counter() - t0,
-            cache_hits=extract_prov.cache_hits,
-            cache_misses=extract_prov.cache_misses,
-        )
         return WEMACDataset(
             config=cfg,
             subjects=run.value("subjects"),
-            runtime=stats,
             provenance=tuple(
                 run.provenance(name) for name in ("simulated", "subjects")
             ),

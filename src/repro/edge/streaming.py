@@ -206,9 +206,8 @@ class RollingWindowMap:
     The unit of inference everywhere in this codebase is a feature map
     of ``windows_per_map`` consecutive window vectors; this class owns
     the rolling-deque bookkeeping that turns a stream of vectors into
-    such maps.  Shared by :class:`OnlineDetector` (on-device runtime)
-    and :class:`repro.serving.sessions.UserSession` (fleet serving),
-    so both produce byte-identical maps from the same vector stream.
+    such maps for :class:`OnlineDetector`, the one path from raw
+    samples to feature maps.
     """
 
     def __init__(self, windows_per_map: int):

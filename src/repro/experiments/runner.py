@@ -31,6 +31,7 @@ from ..datasets import SyntheticWEMAC, WEMACConfig, split_maps_by_fraction
 from ..edge import ALL_DEVICES, EdgeDeployment, profile_model
 from ..orchestration import (
     PipelineGraph,
+    Provenance,
     Stage,
     executor_for_workers,
     group_maps_by_subject,
@@ -136,6 +137,19 @@ def _generate(scale: ExperimentScale):
     )
 
 
+def _run_record(prov: Provenance) -> Dict[str, object]:
+    """How one fold plan ran: an entry of Table I's ``runtime`` report."""
+    return {
+        "executor": prov.executor,
+        "workers": prov.workers,
+        "units": prov.units,
+        "wall_time_s": prov.wall_time_s,
+        "cache_hits": prov.cache_hits,
+        "cache_misses": prov.cache_misses,
+        "cache_hit_rate": prov.cache_hit_rate,
+    }
+
+
 def run_table1(
     scale: Optional[ExperimentScale] = None, dataset=None
 ) -> ExperimentReport:
@@ -231,9 +245,9 @@ def run_table1(
     measured = {s.name: s.as_row() for s in rows}
     measured["cluster_sizes"] = cl.cluster_sizes
     measured["runtime"] = {
-        "general": general.runtime.as_dict() if general.runtime else None,
-        "cl": cl.runtime.as_dict() if cl.runtime else None,
-        "clear": clear.runtime.as_dict() if clear.runtime else None,
+        "general": _run_record(general.provenance),
+        "cl": _run_record(cl.provenance),
+        "clear": _run_record(clear.provenance),
     }
     return ExperimentReport(
         experiment_id="table1",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
-from ..runtime.executor import Executor, RuntimeStats
+from ..runtime.executor import Executor
 from .graph import PipelineGraph
 from .provenance import Provenance
 from .stage import Stage, StageContext
@@ -25,10 +25,9 @@ from .stage import Stage, StageContext
 
 @dataclass
 class FoldPlanResult:
-    """Outcome of one fold plan: raw fold results plus runtime evidence."""
+    """Outcome of one fold plan: raw fold results plus how they ran."""
 
     results: List[Any]
-    stats: RuntimeStats
     provenance: Provenance
 
 
@@ -59,9 +58,10 @@ def run_fold_plan(
     executor / cache_dir / config / seed:
         Runtime wiring and provenance inputs, resolved once here.
 
-    Returns results in unit order (``Executor.map`` preserves order),
-    the aggregated :class:`~repro.runtime.executor.RuntimeStats`, and
-    the stage's :class:`~repro.orchestration.provenance.Provenance`.
+    Returns results in unit order (``Executor.map`` preserves order)
+    and the stage's :class:`~repro.orchestration.provenance.Provenance`,
+    the one record of executor shape, unit count, cache traffic and
+    wall time.
     """
     units = list(units)
 
@@ -78,15 +78,6 @@ def run_fold_plan(
         name, [Stage(name=name, fn=_stage, config=config, seed=seed)]
     )
     run = graph.run(executor=executor, cache_dir=cache_dir, seed=seed)
-    provenance = run.provenance(name)
-    stats = RuntimeStats(
-        executor=provenance.executor,
-        workers=provenance.workers,
-        units=len(units),
-        cache_hits=provenance.cache_hits,
-        cache_misses=provenance.cache_misses,
-        wall_time_s=provenance.wall_time_s,
-    )
     return FoldPlanResult(
-        results=run.value(name), stats=stats, provenance=provenance
+        results=run.value(name), provenance=run.provenance(name)
     )

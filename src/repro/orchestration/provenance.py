@@ -13,7 +13,7 @@ Digests are content-addressed through the same canonical hashing the
 runtime cache uses (:func:`repro.runtime.cache.content_key`), so an
 artifact digest matches across processes, executors, and warm/cold
 cache states whenever the value's *content* is identical.  Values that
-carry volatile fields (wall times, live runtime stats) expose a
+carry volatile fields (wall times, provenance records) expose a
 ``__repro_content__()`` method returning only their stable content;
 :func:`artifact_digest` honors it.
 """
@@ -80,7 +80,8 @@ class Provenance:
         ``(artifact_name, digest)`` pairs for every consumed upstream
         artifact, in declaration order.
     cache_hits / cache_misses:
-        Runtime-cache traffic attributed to this stage.
+        Runtime-cache traffic attributed to this stage
+        (:attr:`cache_hit_rate` is derived from them, never stored).
     wall_time_s:
         Stage wall time (informational only: never part of any digest).
     executor / workers / units:
@@ -106,6 +107,11 @@ class Provenance:
     workers: int = 1
     units: int = 0
     resumed_from: Optional[str] = None
+
+    @property
+    def cache_hit_rate(self) -> float:
+        total = self.cache_hits + self.cache_misses
+        return self.cache_hits / total if total else 0.0
 
     def as_dict(self) -> Dict[str, Any]:
         return {

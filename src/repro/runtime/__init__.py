@@ -10,8 +10,10 @@ The repo's horizontal-scaling layer.  Two primitives:
   ``SeedSequence``-spawned RNG seed.
 * :class:`ContentCache` — SHA-256 content-addressed on-disk cache for
   extracted feature maps and trained fold checkpoints, with typed
-  :class:`~repro.errors.CacheError` failures and hit/miss counters
-  surfaced on results objects via :class:`RuntimeStats`.
+  :class:`~repro.errors.CacheError` failures.  Cache hits and misses
+  are attributed per pipeline stage and recorded, with executor shape
+  and wall time, in that stage's
+  :class:`~repro.orchestration.provenance.Provenance`.
 
 Lint rule RPR008 keeps all ``multiprocessing`` / ``concurrent.futures``
 imports inside this package, so every fan-out in the codebase is
@@ -19,7 +21,6 @@ forced through the executor abstraction.
 """
 
 from .cache import (
-    CacheStats,
     ContentCache,
     checkpoint_cache,
     content_key,
@@ -28,7 +29,6 @@ from .cache import (
 from .executor import (
     Executor,
     ParallelExecutor,
-    RuntimeStats,
     SerialExecutor,
     make_executor,
     resolve_mp_context,
@@ -52,7 +52,6 @@ __all__ = [
     "make_executor",
     "resolve_mp_context",
     "spawn_seeds",
-    "RuntimeStats",
     "SupervisedExecutor",
     "SupervisionPolicy",
     "SupervisedOutcome",
@@ -62,7 +61,6 @@ __all__ = [
     "FAILURE_CRASH",
     "FAILURE_TIMEOUT",
     "ContentCache",
-    "CacheStats",
     "content_key",
     "feature_map_cache",
     "checkpoint_cache",

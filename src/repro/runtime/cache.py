@@ -26,27 +26,12 @@ import io
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
 from ..errors import CacheError
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss/write counters for one cache handle."""
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 def _update_hash(h: "hashlib._Hash", obj: Any) -> None:
@@ -131,7 +116,6 @@ class ContentCache:
             raise CacheError(
                 f"cannot create cache directory {self.root}: {exc}"
             ) from exc
-        self.stats = CacheStats()
 
     # -- key construction --------------------------------------------------
     def key(self, *parts: Any) -> str:
@@ -155,7 +139,6 @@ class ContentCache:
                 raise
         except OSError as exc:
             raise CacheError(f"cannot write cache entry {path}: {exc}") from exc
-        self.stats.writes += 1
 
     # -- array entries (feature maps) --------------------------------------
     def store_arrays(self, key: str, **arrays: np.ndarray) -> Path:
@@ -167,10 +150,9 @@ class ContentCache:
         return path
 
     def load_arrays(self, key: str) -> Optional[Dict[str, np.ndarray]]:
-        """Arrays stored under ``key``, or None on a miss (counted)."""
+        """Arrays stored under ``key``, or None on a miss."""
         path = self._path(key, "npz")
         if not path.exists():
-            self.stats.misses += 1
             return None
         try:
             with np.load(path, allow_pickle=False) as data:
@@ -179,7 +161,6 @@ class ContentCache:
             raise CacheError(
                 f"corrupt cache entry {path} (delete it to re-extract): {exc}"
             ) from exc
-        self.stats.hits += 1
         return out
 
     # -- object entries (trained-fold checkpoints) -------------------------
@@ -196,10 +177,9 @@ class ContentCache:
         return path
 
     def load_object(self, key: str) -> Optional[Any]:
-        """Object stored under ``key``, or None on a miss (counted)."""
+        """Object stored under ``key``, or None on a miss."""
         path = self._path(key, "pkl")
         if not path.exists():
-            self.stats.misses += 1
             return None
         try:
             with open(path, "rb") as fh:
@@ -208,7 +188,6 @@ class ContentCache:
             raise CacheError(
                 f"corrupt cache entry {path} (delete it to re-train): {exc}"
             ) from exc
-        self.stats.hits += 1
         return obj
 
     # -- maintenance -------------------------------------------------------

@@ -1,6 +1,7 @@
 """The WEMAC corpus as one Scenario implementation.
 
-Same mechanistic simulator, stimuli, and extraction as
+Same per-subject draw (:func:`~repro.datasets.wemac.draw_subject`:
+simulator, stimuli, raw recordings) and extraction as
 :mod:`repro.datasets.wemac` — but re-keyed for streaming: every subject
 draws from its own ``SeedSequence(seed, spawn_key=(subject_id,
 generation))`` stream instead of one serial corpus stream, so slot *i*
@@ -21,16 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
-from ..datasets.stimuli import balanced_schedule
-from ..datasets.subject import (
-    ARCHETYPES,
-    NUM_ARCHETYPES,
-    ArchetypeParams,
-    PhysiologicalSimulator,
-    sample_subject,
-)
-from ..datasets.wemac import WEMACConfig
-from ..signals.feature_map import SubjectExtractionUnit, extract_subject_maps
+from ..datasets.subject import ARCHETYPES, NUM_ARCHETYPES, ArchetypeParams
+from ..datasets.wemac import WEMACConfig, draw_subject
+from ..signals.feature_map import extract_subject_maps
 from .base import (
     REFERENCE_DEVICE,
     STATIONARY,
@@ -133,29 +127,11 @@ class WEMACScenario(Scenario):
             base.fs_gsr * device.rate_scales[1],
             base.fs_skt * device.rate_scales[2],
         )
-        profile = sample_subject(
-            subject_id,
-            archetype_id,
-            rng,
-            jitter=base.subject_jitter,
+        _, _, unit = draw_subject(
+            base, subject_id, archetype_id, rng, rates, cache_dir,
             base_params=params,
         )
-        schedule = balanced_schedule(
-            base.trials_per_subject, base.trial_seconds, rng
-        )
-        simulator = PhysiologicalSimulator(*rates)
-        raw_trials = simulator.simulate_schedule(profile, schedule, rng)
-        result = extract_subject_maps(
-            SubjectExtractionUnit(
-                subject_id=subject_id,
-                trials=list(raw_trials),
-                labels=[t.label for t in schedule.trials],
-                windows_per_map=base.windows_per_map,
-                rates=rates,
-                window_seconds=base.window_seconds,
-                cache_dir=cache_dir,
-            )
-        )
+        result = extract_subject_maps(unit)
         maps, imputed = screen_subject_maps(result.maps, device)
         return ScenarioSubject(
             subject_id=subject_id,

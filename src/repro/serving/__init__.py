@@ -8,7 +8,7 @@ checkpoints:
 * :mod:`registry` — warm LRU-bounded model pool backed by the
   content-addressed serving cache; models load once per group and
   rehydrate transparently after eviction.
-* :mod:`sessions` — per-user session state (rolling map, smoothing,
+* :mod:`sessions` — per-user session state (smoothing,
   personalization status) sharded by a deterministic user hash.
 * :mod:`batching` — the micro-batcher: coalesces concurrent
   same-group requests into single ``predict_many`` calls on canonical

@@ -2,26 +2,23 @@
 
 A session is the server-side mirror of one wearable: which cluster the
 cold-start assignment picked (and with what confidence margin), whether
-the user has been personalized yet, the rolling feature-map state when
-raw windows stream in, and the temporal-smoothing vote that turns raw
-predictions into stable decisions.  Sessions are grouped into shards by
-a *seed-independent* SHA-256 hash of the user id, so any fleet node —
-or any rerun of a benchmark — places every user identically.
+the user has been personalized yet, and the temporal-smoothing vote
+that turns raw predictions into stable decisions.  Sessions receive
+ready feature maps; raw samples become maps on the device
+(:class:`~repro.edge.streaming.OnlineDetector`).  Sessions are grouped
+into shards by a *seed-independent* SHA-256 hash of the user id, so any
+fleet node — or any rerun of a benchmark — places every user
+identically.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Tuple
 
-from ..edge.streaming import (
-    RollingWindowMap,
-    StreamingFeatureExtractor,
-    majority_vote,
-)
+from ..edge.streaming import majority_vote
 from ..errors import ServingError
-from ..signals.feature_map import FeatureMap
 from .registry import GroupKey
 
 
@@ -41,8 +38,6 @@ class UserSession:
         cluster: int,
         margin: float,
         smoothing: int = 3,
-        windows_per_map: Optional[int] = None,
-        extractor: Optional[StreamingFeatureExtractor] = None,
     ):
         if smoothing < 1:
             raise ValueError("smoothing must be >= 1")
@@ -50,12 +45,6 @@ class UserSession:
         self.cluster = int(cluster)
         self.margin = float(margin)
         self.personalized = False
-        self.extractor = extractor
-        self.rolling = (
-            RollingWindowMap(windows_per_map)
-            if windows_per_map is not None
-            else None
-        )
         self._recent_raw: Deque[int] = deque(maxlen=int(smoothing))
         self._issued = 0  # request indices handed out
         self._next_emit = 0  # next request index the reorder buffer releases
@@ -103,30 +92,6 @@ class UserSession:
     @property
     def pending_results(self) -> int:
         return len(self._held)
-
-    # -- streaming ingestion ----------------------------------------------
-    def push_samples(
-        self,
-        bvp: Sequence[float] = (),
-        gsr: Sequence[float] = (),
-        skt: Sequence[float] = (),
-    ) -> List[FeatureMap]:
-        """Feed raw samples; returns any rolling maps that became ready.
-
-        Only available when the session was built with an extractor and
-        ``windows_per_map`` — fleet benchmarks that synthesize feature
-        maps directly skip this layer entirely.
-        """
-        if self.extractor is None or self.rolling is None:
-            raise ServingError(
-                f"user {self.user_id} session has no streaming extractor; "
-                f"submit feature maps directly"
-            )
-        maps: List[FeatureMap] = []
-        for event in self.extractor.push(bvp=bvp, gsr=gsr, skt=skt):
-            if self.rolling.push(event.features):
-                maps.append(self.rolling.current_map())
-        return maps
 
 
 def shard_for(user_id: int, num_shards: int) -> int:

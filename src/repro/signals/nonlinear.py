@@ -56,10 +56,17 @@ def sample_entropy(x: np.ndarray, m: int = 2, r: float = None) -> float:
 
 
 def approximate_entropy(x: np.ndarray, m: int = 2, r: float = None) -> float:
-    """Approximate entropy (Pincus, 1991), lag-1 embedding."""
+    """Approximate entropy (Pincus, 1991), lag-1 embedding.
+
+    Returns ``nan`` for a window holding NaN or ``±inf``: no template
+    then matches, not even itself, and the log of a zero count is
+    undefined.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.size < m + 2:
         raise ValueError(f"signal too short for approximate entropy: {x.size}")
+    if not np.isfinite(x).all():
+        return float("nan")
     std = x.std()
     if std < 1e-12:
         return 0.0

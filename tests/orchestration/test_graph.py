@@ -222,13 +222,13 @@ class TestFoldPlan:
             executor=ParallelExecutor(2),
         )
         assert serial.results == parallel.results
-        assert parallel.stats.executor == "parallel"
+        assert parallel.provenance.executor == "parallel"
 
     def test_cache_counts_merged_into_stats(self):
         plan = run_fold_plan(
             "sq", [2, 5], _square, cache_counts=lambda r: (1, r % 2)
         )
-        assert plan.stats.cache_hits == 2
-        assert plan.stats.cache_misses == 1
-        assert plan.stats.units == 2
+        assert plan.provenance.cache_hits == 2
+        assert plan.provenance.cache_misses == 1
+        assert plan.provenance.units == 2
         assert plan.provenance.stage == "sq"

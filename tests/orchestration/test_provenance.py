@@ -82,6 +82,12 @@ class TestProvenanceRoundTrip:
         assert prov.executor == "serial"
         assert prov.inputs == ()
 
+    def test_cache_hit_rate_derived_not_serialized(self):
+        prov = Provenance(stage="s", digest="d", cache_hits=3, cache_misses=1)
+        assert prov.cache_hit_rate == 0.75
+        assert Provenance(stage="s", digest="d").cache_hit_rate == 0.0
+        assert "cache_hit_rate" not in prov.as_dict()
+
 
 class TestArtifact:
     def test_digest_is_provenance_digest(self):

@@ -7,7 +7,6 @@ from repro.errors import ExecutorError
 from repro.runtime import (
     Executor,
     ParallelExecutor,
-    RuntimeStats,
     SerialExecutor,
     make_executor,
     resolve_mp_context,
@@ -149,28 +148,3 @@ class TestSpawnSeeds:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             spawn_seeds(0, -1)
-
-
-class TestRuntimeStats:
-    def test_hit_rate(self):
-        stats = RuntimeStats(cache_hits=3, cache_misses=1)
-        assert stats.cache_hit_rate == pytest.approx(0.75)
-
-    def test_hit_rate_empty(self):
-        assert RuntimeStats().cache_hit_rate == 0.0
-
-    def test_merge_counts(self):
-        stats = RuntimeStats()
-        stats.merge_counts(2, 5)
-        stats.merge_counts(1, 0)
-        assert (stats.cache_hits, stats.cache_misses) == (3, 5)
-
-    def test_as_dict_round_trip(self):
-        stats = RuntimeStats(
-            executor="parallel", workers=4, units=10, wall_time_s=1.5
-        )
-        d = stats.as_dict()
-        assert d["executor"] == "parallel"
-        assert d["workers"] == 4
-        assert d["units"] == 10
-        assert d["cache_hit_rate"] == 0.0

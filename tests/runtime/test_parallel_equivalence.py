@@ -76,8 +76,8 @@ class TestParallelEquivalence:
             executor=ParallelExecutor(workers),
         )
         assert canon(result) == serial_baseline
-        assert result.runtime.executor in ("parallel", "serial")
-        assert result.runtime.units == FOLDS
+        assert result.provenance.executor in ("parallel", "serial")
+        assert result.provenance.units == FOLDS
 
     def test_cached_run_bit_identical_and_warm(
         self, dataset, serial_baseline, tmp_path
@@ -92,11 +92,11 @@ class TestParallelEquivalence:
         assert canon(warm) == serial_baseline
         # A cold run trains at least once per distinct cluster membership
         # (later folds may already hit checkpoints earlier folds wrote).
-        assert cold.runtime.cache_misses > 0
-        total_units = cold.runtime.cache_hits + cold.runtime.cache_misses
+        assert cold.provenance.cache_misses > 0
+        total_units = cold.provenance.cache_hits + cold.provenance.cache_misses
         # Warm rerun re-trains nothing: every checkpoint lookup hits.
-        assert warm.runtime.cache_misses == 0
-        assert warm.runtime.cache_hits == total_units
+        assert warm.provenance.cache_misses == 0
+        assert warm.provenance.cache_hits == total_units
 
     def test_parallel_generation_bit_identical(self, dataset):
         twin = SyntheticWEMAC(WEMACConfig.tiny(seed=0)).generate(

@@ -12,6 +12,8 @@ from repro.core import (
 )
 from repro.scenarios import (
     MIXED_WEARABLES,
+    REFERENCE_DEVICE,
+    DeviceProfile,
     PopulationDynamics,
     available_scenarios,
     base_corpus,
@@ -24,10 +26,43 @@ from repro.scenarios import (
 )
 
 
+#: ``scenario_fingerprint`` of the tiny streamed WEMAC population:
+#: every subject's id, archetype, generation, device and map bytes.
+WEMAC_TINY_GOLDEN = "f4bfc0276589b9c6ca79def4f93a9e2efdea70d920cab5dd63d204450606bd80"
+#: The same with archetype drift, churn and a two-device fleet.
+WEMAC_TINY_DYNAMIC_GOLDEN = (
+    "b9a8e8ff195fbd79164fff3c456fab84417b9e28428b2684191f949907d4f067"
+)
+TWO_DEVICE_FLEET = (
+    REFERENCE_DEVICE,
+    DeviceProfile(
+        name="wristband",
+        rate_scales=(0.5, 1.0, 1.0),
+        missing_modalities=("skt",),
+    ),
+)
+
+
 class TestWEMACScenario:
     @pytest.fixture(scope="class")
     def tiny(self):
         return wemac_scenario(scale="tiny", seed=0, chunk_size=3)
+
+    def test_stationary_bytes_pinned(self, tiny):
+        assert scenario_fingerprint(tiny.iter_subjects()) == WEMAC_TINY_GOLDEN
+
+    def test_drift_churn_fleet_bytes_pinned(self):
+        scenario = wemac_scenario(
+            scale="tiny",
+            seed=0,
+            dynamics=PopulationDynamics(archetype_drift=0.5, churn_rate=0.3),
+            devices=TWO_DEVICE_FLEET,
+        )
+        subjects = list(scenario.iter_subjects())
+        # The variant exercises every knob it pins.
+        assert {s.generation for s in subjects} == {0, 1}
+        assert {s.device.name for s in subjects} == {"reference", "wristband"}
+        assert scenario_fingerprint(subjects) == WEMAC_TINY_DYNAMIC_GOLDEN
 
     def test_streamed_equals_materialized(self, tiny):
         streamed = scenario_fingerprint(tiny.iter_subjects(chunk_size=3))
