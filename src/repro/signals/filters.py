@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -52,13 +53,25 @@ def _nyquist_clamped(cutoff: float, fs: float) -> float:
     return min(cutoff, 0.99 * nyq)
 
 
+@lru_cache(maxsize=32)
+def _butter_sos(order: int, cutoff, btype: str, fs: float) -> np.ndarray:
+    """Butterworth second-order sections, designed once per key.
+
+    Every window of a corpus reuses the same few designs.  The cached
+    array is read-only; the filters pass ``sosfiltfilt`` a writable copy.
+    """
+    sos = sps.butter(order, cutoff, btype=btype, fs=fs, output="sos")
+    sos.flags.writeable = False
+    return sos
+
+
 def butter_lowpass(
     x: np.ndarray, cutoff: float, fs: float, order: int = 4
 ) -> np.ndarray:
     """Zero-phase Butterworth low-pass filter."""
     x = _validate_signal(x, min_len=8)
     cutoff = _nyquist_clamped(cutoff, fs)
-    sos = sps.butter(order, cutoff, btype="low", fs=fs, output="sos")
+    sos = _butter_sos(order, cutoff, "low", fs).copy()
     return sps.sosfiltfilt(sos, x)
 
 
@@ -68,7 +81,7 @@ def butter_highpass(
     """Zero-phase Butterworth high-pass filter."""
     x = _validate_signal(x, min_len=8)
     cutoff = _nyquist_clamped(cutoff, fs)
-    sos = sps.butter(order, cutoff, btype="high", fs=fs, output="sos")
+    sos = _butter_sos(order, cutoff, "high", fs).copy()
     return sps.sosfiltfilt(sos, x)
 
 
@@ -82,7 +95,7 @@ def butter_bandpass(
     high = _nyquist_clamped(high, fs)
     if low >= high:
         raise ValueError(f"low cutoff {low} must be below high cutoff {high}")
-    sos = sps.butter(order, [low, high], btype="band", fs=fs, output="sos")
+    sos = _butter_sos(order, (low, high), "band", fs).copy()
     return sps.sosfiltfilt(sos, x)
 
 

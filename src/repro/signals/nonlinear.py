@@ -12,13 +12,54 @@ from typing import Dict, Tuple
 import numpy as np
 
 
-def _embed(x: np.ndarray, m: int) -> np.ndarray:
-    """Time-delay embedding with lag 1: rows are length-m subsequences."""
+#: Pairwise distances held at once by ``_match_counts``: a block of
+#: rows is sized so its float64 temporaries stay near 8 MB each.
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _match_counts(x: np.ndarray, m: int, r: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-template counts of *other* templates within Chebyshev distance ``r``.
+
+    Templates are the lag-1 subsequences of ``x``.  The first array
+    covers the ``x.size - m + 1`` templates of length ``m``, the second
+    the ``x.size - m`` templates of length ``m + 1``.  A length-(m+1)
+    distance is the length-m distance maxed with the last coordinate,
+    so one pass yields both.  The pass visits the distance matrix in
+    row blocks from the diagonal rightwards: since ``|a - b| == |b - a|``
+    exactly, a match right of a block also counts for its column's
+    template.  NaN never compares ``<= r``, so NaN samples never match.
+    """
     n = x.size - m + 1
-    if n <= 0:
-        raise ValueError(f"signal of length {x.size} too short for m={m}")
-    idx = np.arange(m)[None, :] + np.arange(n)[:, None]
-    return x[idx]
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    counts = np.zeros(n, dtype=np.int64)
+    counts_next = np.zeros(n - 1, dtype=np.int64)
+
+    def tally(into: np.ndarray, start: int, match: np.ndarray) -> None:
+        # ``match`` holds rows start.. and columns start..; its leading
+        # square is symmetric and its diagonal are the self-pairs.
+        stop = start + match.shape[0]
+        into[start:stop] += match.sum(axis=1) - match.diagonal()
+        into[stop:] += match[:, stop - start :].sum(axis=0)
+
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        d = np.subtract(x[start:stop, None], x[None, start:n])
+        np.abs(d, out=d)
+        t = np.empty_like(d)
+        for k in range(1, m):
+            np.subtract(x[start + k : stop + k, None], x[None, start + k : n + k], out=t)
+            np.abs(t, out=t)
+            np.maximum(d, t, out=d)
+        tally(counts, start, d <= r)
+        # Length m + 1: the last length-m template has no extension.
+        stop = min(stop, n - 1)
+        if stop > start:
+            t = t[: stop - start, : n - 1 - start]
+            np.subtract(x[start + m : stop + m, None], x[None, start + m :], out=t)
+            np.abs(t, out=t)
+            np.maximum(d[: stop - start, : n - 1 - start], t, out=t)
+            tally(counts_next, start, t <= r)
+    return counts, counts_next
 
 
 def sample_entropy(x: np.ndarray, m: int = 2, r: float = None) -> float:
@@ -36,18 +77,10 @@ def sample_entropy(x: np.ndarray, m: int = 2, r: float = None) -> float:
         return 0.0
     if r is None:
         r = 0.2 * std
-
-    def count_matches(mm: int) -> int:
-        emb = _embed(x, mm)
-        count = 0
-        # Chebyshev distance template matching, excluding self-matches.
-        for i in range(emb.shape[0] - 1):
-            dist = np.max(np.abs(emb[i + 1 :] - emb[i]), axis=1)
-            count += int(np.sum(dist <= r))
-        return count
-
-    b = count_matches(m)
-    a = count_matches(m + 1)
+    counts, counts_next = _match_counts(x, m, r)
+    # Each unordered template pair is counted once from either side.
+    b = int(counts.sum()) // 2
+    a = int(counts_next.sum()) // 2
     if b == 0:
         return 0.0
     if a == 0:
@@ -72,17 +105,14 @@ def approximate_entropy(x: np.ndarray, m: int = 2, r: float = None) -> float:
         return 0.0
     if r is None:
         r = 0.2 * std
+    counts, counts_next = _match_counts(x, m, r)
+    # Every finite template is at distance 0 from itself.
+    own = int(r >= 0)
 
-    def phi(mm: int) -> float:
-        emb = _embed(x, mm)
-        n = emb.shape[0]
-        counts = np.zeros(n)
-        for i in range(n):
-            dist = np.max(np.abs(emb - emb[i]), axis=1)
-            counts[i] = np.sum(dist <= r) / n  # includes self-match
-        return float(np.mean(np.log(counts)))
+    def phi(others: np.ndarray) -> float:
+        return float(np.mean(np.log((others + own) / others.size)))
 
-    return float(phi(m) - phi(m + 1))
+    return phi(counts) - phi(counts_next)
 
 
 def poincare_descriptors(intervals: np.ndarray) -> Dict[str, float]:

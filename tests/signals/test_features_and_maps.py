@@ -1,5 +1,7 @@
 """Tests for the 123-feature extractor and 2D feature maps."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,13 @@ from repro.signals import (
     maps_to_arrays,
     subject_signature,
 )
+
+
+#: sha256 over the float64 bytes of every feature map of
+#: ``SyntheticWEMAC(WEMACConfig.tiny()).generate()``, in corpus order,
+#: pinned at numpy 2.4.6 / scipy 1.17.1.  A DSP change that moves any
+#: feature value by one ulp moves this digest.
+TINY_MAPS_SHA256 = "6ccff7ad6628e79968f702e8417ad058711e556fee97e69584cbf535abf4f0d4"
 
 
 def synth_channels(seconds=60.0, fs_bvp=64.0, fs_gsr=4.0, seed=0):
@@ -43,6 +52,13 @@ class TestFeatureInventory:
         assert len(bvp) == 84
         assert len(gsr) == 34
         assert len(skt) == 5
+
+
+def test_tiny_corpus_feature_maps_are_pinned(tiny_dataset):
+    digest = hashlib.sha256()
+    for fmap in tiny_dataset.all_maps():
+        digest.update(np.asarray(fmap.values, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == TINY_MAPS_SHA256
 
 
 class TestFeatureExtractor:

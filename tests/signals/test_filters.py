@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from repro.signals import filters
 
@@ -90,6 +91,31 @@ class TestButterworth:
     def test_bandpass_nonpositive_low(self):
         with pytest.raises(ValueError, match="positive"):
             filters.butter_bandpass(np.ones(100), 0.0, 1.0, 64.0)
+
+    @pytest.mark.parametrize(
+        "apply, design",
+        [
+            (lambda x: filters.butter_lowpass(x, 5.0, 100.0), (4, 5.0, "low", 100.0)),
+            (lambda x: filters.butter_lowpass(x, 0.05, 4.0, order=2), (2, 0.05, "low", 4.0)),
+            (lambda x: filters.butter_highpass(x, 1.0, 50.0), (4, 1.0, "high", 50.0)),
+            (lambda x: filters.butter_bandpass(x, 0.5, 8.0, 32.0), (3, (0.5, 8.0), "band", 32.0)),
+        ],
+    )
+    def test_cached_design_equals_fresh_design(self, rng, apply, design):
+        order, cutoff, btype, fs = design
+        fresh = sps.butter(order, cutoff, btype=btype, fs=fs, output="sos")
+        np.testing.assert_array_equal(filters._butter_sos(*design), fresh)
+        x = rng.normal(size=256)
+        for _ in range(2):  # a cold and a warm cache
+            np.testing.assert_array_equal(apply(x), sps.sosfiltfilt(fresh, x))
+
+    def test_cached_design_cannot_be_poisoned(self, rng):
+        x = rng.normal(size=256)
+        before = filters.butter_bandpass(x, 0.5, 8.0, 64.0)
+        cached = filters._butter_sos(3, (0.5, 8.0), "band", 64.0)
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 123.0
+        np.testing.assert_array_equal(filters.butter_bandpass(x, 0.5, 8.0, 64.0), before)
 
     def test_cutoff_clamped_below_nyquist(self):
         # Request a cutoff above Nyquist; should not raise.
